@@ -1,8 +1,9 @@
 """Shared plumbing for the spark-submit job entrypoints.
 
-Each job builds (or reuses) a local SparkSession, runs one table
-builder from :mod:`repro.experiments.tables`, prints the resulting
-paper-vs-measured frame, and optionally writes it to CSV.
+``run_table.py`` runs one table builder from
+:data:`repro.experiments.tables.TABLES`, prints the paper-vs-measured
+frame, and optionally writes it to CSV; ``run_pipeline.py`` builds (or
+reuses) a local SparkSession for the distributed pipeline.
 """
 from __future__ import annotations
 

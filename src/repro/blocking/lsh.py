@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.nrs import kmeans
 from ..core.records import Record
+from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 
 
@@ -36,33 +37,46 @@ def band_signatures(
     return out
 
 
-class _UF:
-    def __init__(self, n: int):
-        self.p = list(range(n))
+def bucket_edges(
+    vecs: np.ndarray, members: list[int], threshold: float
+) -> list[tuple[int, int]]:
+    """Pairs of one bucket's ``members`` (row positions in ``vecs``)
+    whose cosine similarity reaches ``threshold``.
 
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
+    Candidate pairs are verified against b_t before linking: the
+    stochastic hash co-locates dissimilar records, and unverified links
+    percolate buckets into giant components.
+    """
+    if len(members) < 2:
+        return []
+    sub = cosine_matrix(vecs[members])
+    ii, kk = np.where(np.triu(sub, 1) >= threshold)
+    return [(members[int(a)], members[int(c)]) for a, c in zip(ii, kk)]
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
+
+def verified_edges(
+    vecs: np.ndarray, sigs: np.ndarray, threshold: float
+) -> list[tuple[int, int]]:
+    """Positional edges: records sharing a band bucket, verified."""
+    edges: list[tuple[int, int]] = []
+    for b in range(sigs.shape[1]):
+        buckets: dict[int, list[int]] = {}
+        for i in range(len(vecs)):
+            buckets.setdefault(int(sigs[i, b]), []).append(i)
+        for members in buckets.values():
+            edges.extend(bucket_edges(vecs, members, threshold))
+    return edges
 
 
 def blocks_from_edges(
     records: list[Record], edges: "list[tuple[int, int]]"
 ) -> list[list[Record]]:
     """Connected components over positional edges → blocks."""
-    uf = _UF(len(records))
+    uf = UnionFind(len(records))
     for a, b in edges:
         uf.union(a, b)
-    comps: dict[int, list[Record]] = {}
-    for i, r in enumerate(records):
-        comps.setdefault(uf.find(i), []).append(r)
-    return sorted(comps.values(), key=lambda b: min(r.rid for r in b))
+    comps = [[records[i] for i in c] for c in uf.components()]
+    return sorted(comps, key=lambda b: min(r.rid for r in b))
 
 
 def purify_block(
@@ -115,22 +129,7 @@ def lsh_blocks(
         return []
     vecs = np.stack([r.vec for r in records])
     sigs = band_signatures(vecs, n_bands, band_bits, seed)
-    edges: list[tuple[int, int]] = []
-    for b in range(n_bands):
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(records)):
-            buckets.setdefault(int(sigs[i, b]), []).append(i)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            # verify candidate pairs against b_t before linking — the
-            # stochastic hash co-locates dissimilar records, and
-            # unverified links percolate buckets into giant components
-            sub = cosine_matrix(vecs[members])
-            ii, kk = np.where(np.triu(sub, 1) >= threshold)
-            edges.extend(
-                (members[int(a)], members[int(c)]) for a, c in zip(ii, kk)
-            )
+    edges = verified_edges(vecs, sigs, threshold)
     blocks: list[list[Record]] = []
     for blk in blocks_from_edges(records, edges):
         for part in split_oversized(blk, max_block_size, seed):

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..embed.similarity import cosine
 from .records import Record
+from .unionfind import UnionFind
 
 
 @dataclass
@@ -156,15 +157,10 @@ def apply_merge_result(
     (with their anti references remapped).
     """
     survivors = {it.iid: it for it in items}
-    # union-find over item ids driven by the rep clusterings
-    parent: dict[int, int] = {iid: iid for iid in survivors}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # union-find driven by the rep clusterings, over positions in iid
+    # order so that each group's root is its smallest item id
+    at = {iid: p for p, iid in enumerate(sorted(survivors))}
+    uf = UnionFind(len(at))
     n_merges = 0
     for rset, clustering in zip(round_sets, rep_clusterings):
         by_rep = {it.rep.rid: it for it in rset}
@@ -178,10 +174,7 @@ def apply_merge_result(
             for k in range(i + 1, len(ids)):
                 a, b = ids[i], ids[k]
                 if cluster_of.get(a, -1) == cluster_of.get(b, -2):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                        n_merges += 1
+                    n_merges += uf.union(at[a], at[b])
                 else:  # anti-transitivity: co-packed, not merged
                     survivors[a].anti.add(b)
                     survivors[b].anti.add(a)
@@ -189,7 +182,7 @@ def apply_merge_result(
     # rebuild the item list with merged groups collapsed
     groups: dict[int, list[Item]] = {}
     for iid, it in survivors.items():
-        groups.setdefault(find(iid), []).append(it)
+        groups.setdefault(uf.find(at[iid]), []).append(it)
     old_to_new: dict[int, int] = {}
     new_items: list[Item] = []
     for root in sorted(groups):

@@ -19,9 +19,10 @@ later.
 """
 from __future__ import annotations
 
-import numpy as np
-
+from collections.abc import Callable
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..embed.similarity import cosine_matrix
 from .records import Record
@@ -123,6 +124,52 @@ def regenerate_order(
     return [r for c in order for r in c]
 
 
+def guarded_retry(
+    rsets: list[list[Record]],
+    ask: Callable[[list[list[Record]], int], list[list[list[Record]]]],
+    *,
+    use_mdg: bool = True,
+    max_retries: int = 1,
+) -> list[list[list[Record]]]:
+    """Cluster record sets under MDG, re-asking the rejected ones.
+
+    ``ask(sets, attempt)`` returns one clustering per prompt in
+    ``sets``; each attempt asks only the still-pending sets, each in
+    its regenerated order. A structurally broken answer is re-drawn
+    with MDG on; with MDG off (ablation mode, Table 8) the first answer
+    is taken, a broken one repaired into a partition because downstream
+    code requires one. Per set, the best attempt (fewest misclustered
+    records) wins; a set that never got a structurally valid answer
+    falls back to all-singletons.
+    """
+    best: dict[int, tuple[int, list[list[Record]]]] = {}
+    order = list(rsets)
+    pending = list(range(len(rsets)))
+    for attempt in range(max_retries + 1):
+        still: list[int] = []
+        for i, clusters in zip(pending, ask([order[i] for i in pending], attempt)):
+            valid = structurally_valid(rsets[i], clusters)
+            if not use_mdg:
+                best[i] = (0, clusters if valid else _repair(rsets[i], clusters))
+                continue
+            if not valid:
+                still.append(i)  # fresh draw next attempt
+                continue
+            bad = misclustered(clusters)
+            if i not in best or len(bad) < best[i][0]:
+                best[i] = (len(bad), clusters)
+            if bad:
+                order[i] = regenerate_order(clusters, bad)
+                still.append(i)
+        pending = still
+        if not pending:
+            break
+    return [
+        best[i][1] if i in best else [[r] for r in rset]
+        for i, rset in enumerate(rsets)
+    ]
+
+
 def cluster_with_guardrail(
     llm: "SimulatedLLM",
     records: list[Record],
@@ -130,33 +177,38 @@ def cluster_with_guardrail(
     use_mdg: bool = True,
     max_retries: int = 1,
 ) -> list[list[Record]]:
-    """In-context clustering of one record set, guarded by MDG.
+    """In-context clustering of one record set, guarded by MDG: one
+    call per attempt, salted with the attempt number."""
 
-    Without MDG (ablation mode, Table 8) the first structurally usable
-    answer is taken as-is; a structurally broken answer is repaired by
-    dropping duplicates / restoring dropped records as singletons,
-    because downstream code requires a partition.
-    """
-    order = list(records)
-    best: list[list[Record]] | None = None
-    best_violations = np.inf
-    for attempt in range(max_retries + 1):
-        clusters = llm.cluster_records(order, salt=attempt)
-        if not structurally_valid(records, clusters):
-            if not use_mdg:
-                return _repair(records, clusters)
-            continue  # retry with a fresh draw
-        if not use_mdg:
-            return clusters
-        bad = misclustered(clusters)
-        if len(bad) < best_violations:
-            best, best_violations = clusters, len(bad)
-        if not bad:
-            break
-        order = regenerate_order(clusters, bad)
-    if best is None:  # every attempt hallucinated structurally
-        return [[r] for r in records]
-    return best
+    def ask(sets, attempt):
+        return [llm.cluster_records(s, salt=attempt) for s in sets]
+
+    return guarded_retry(
+        [records], ask, use_mdg=use_mdg, max_retries=max_retries
+    )[0]
+
+
+def cluster_batched(
+    llm: "SimulatedLLM",
+    rsets: list[list[Record]],
+    batch_size: int,
+    *,
+    use_mdg: bool = True,
+) -> list[list[list[Record]]]:
+    """Guarded clustering with ``batch_size`` record sets per call
+    (Appendix A.10). Rejected sets are re-asked in batches as well —
+    falling back to one call per set would undo the batching saving."""
+
+    def ask(sets, attempt):
+        return [
+            clusters
+            for b0 in range(0, len(sets), batch_size)
+            for clusters in llm.cluster_batch(
+                sets[b0 : b0 + batch_size], salt=attempt * 10_000 + b0
+            )
+        ]
+
+    return guarded_retry(rsets, ask, use_mdg=use_mdg)
 
 
 def _repair(

@@ -13,6 +13,7 @@ over the same record set.
 """
 from __future__ import annotations
 
+from collections import Counter
 from math import comb, log
 
 import numpy as np
@@ -122,24 +123,22 @@ def ari(pred: dict[int, int], truth: dict[int, int]) -> float:
 def pair_confusion(
     pred: dict[int, int], truth: dict[int, int]
 ) -> dict[str, int]:
-    """TP/FP/FN/TN over record pairs (Appendix A.9 confusion matrices)."""
+    """TP/FP/FN/TN over record pairs (Appendix A.9 confusion matrices),
+    from cluster sizes: TP = Σ C(n_ij, 2) over the contingency cells."""
     _check(pred, truth)
-    rids = sorted(pred)
-    tp = fp = fn = tn = 0
-    for i in range(len(rids)):
-        for k in range(i + 1, len(rids)):
-            a, b = rids[i], rids[k]
-            p_same = pred[a] == pred[b]
-            t_same = truth[a] == truth[b]
-            if p_same and t_same:
-                tp += 1
-            elif p_same:
-                fp += 1
-            elif t_same:
-                fn += 1
-            else:
-                tn += 1
-    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+    def same_pairs(labels) -> int:
+        return sum(comb(c, 2) for c in Counter(labels).values())
+
+    tp = same_pairs((pred[r], truth[r]) for r in pred)
+    same_pred = same_pairs(pred.values())
+    same_truth = same_pairs(truth.values())
+    return {
+        "tp": tp,
+        "fp": same_pred - tp,
+        "fn": same_truth - tp,
+        "tn": comb(len(pred), 2) - same_pred - same_truth + tp,
+    }
 
 
 def all_metrics(pred: dict[int, int], truth: dict[int, int]) -> dict[str, float]:

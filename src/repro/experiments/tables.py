@@ -8,8 +8,15 @@ measured values and the paper's published values (columns prefixed
 ``scale`` subsamples every dataset spec (entities and records shrink
 together, dispersion preserved); benchmarks pick the scale via the
 ``REPRO_BENCH_SCALE`` environment variable.
+
+:data:`TABLES` registers every builder under its CSV name; the one job
+(``jobs/run_table.py --table NAME``) and the one benchmark
+(``benchmarks/bench_tables.py``) run tables from it.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -463,3 +470,48 @@ def table19(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
                  "paper_calls": pap[2]}
             )
     return pd.DataFrame(rows)
+
+
+@dataclass(frozen=True)
+class Table:
+    """One registered table: CSV stem, builder, printed title."""
+
+    name: str  # benchmarks/results/<name>.csv
+    build: Callable[..., pd.DataFrame]
+    title: str
+    seeded: bool = True  # whether ``build`` takes a ``seed``
+
+    def run(self, scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
+        if self.seeded:
+            return self.build(scale=scale, seed=seed)
+        return self.build(scale=scale)
+
+
+TABLES: dict[str, Table] = {
+    t.name: t
+    for t in (
+        Table("table1", table1,
+              "Table 1: dataset statistics (synthetic vs paper)", seeded=False),
+        Table("table2", table2,
+              "Table 2: in-context clustering vs pairwise matching"),
+        Table("table3", table3, "Table 3: record sets per hierarchy level"),
+        Table("table4", table4,
+              "Table 4: LLM-CER vs Booster / BQ / CrowdER+LLM"),
+        Table("table5", table5,
+              "Table 5: optimal Ss/Sd vs attribute count and types"),
+        Table("table6", table6, "Table 6: end-to-end ER vs attribute count"),
+        Table("table7", table7, "Table 7: end-to-end ER vs attribute types"),
+        Table("table8", table8, "Table 8 (+15): MDG ablation"),
+        Table("table9", table9, "Appendix Table 9: optimal factors per LLM"),
+        Table("table10", table10, "Appendix Table 10: GPT vs Llama"),
+        Table("table11_12_13", table11_12_13,
+              "Appendix Tables 11-13: entity dispersion"),
+        Table("table14", table14, "Appendix Table 14: blocking ablation"),
+        Table("table16", table16,
+              "Appendix Table 16: vs Ditto / DeepMatcher"),
+        Table("table17", table17, "Appendix Table 17: few-shot learning"),
+        Table("table18", table18,
+              "Appendix Table 18: similarity vs random merging"),
+        Table("table19", table19, "Appendix Table 19: batch processing"),
+    )
+}

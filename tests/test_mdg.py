@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core import mdg
 from repro.core.mdg import (
-    _repair, cluster_with_guardrail, mdg_accepts, misclustered,
-    regenerate_order, structurally_valid,
+    _repair, cluster_with_guardrail, guarded_retry, mdg_accepts,
+    misclustered, regenerate_order, structurally_valid,
 )
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
@@ -54,11 +55,13 @@ class TestMisclustered:
         flagged = {r.rid for r in misclustered(wrong)}
         assert b[0].rid in flagged or a[2].rid in flagged
 
-    def test_merge_all_garble_flagged_by_floor(self, two_entities):
+    def test_merge_all_garble_flagged_by_floor(self, two_entities, monkeypatch):
         a, b = two_entities
         # a hallucinated merge-everything output has no other cluster
         # for the relative rule — the absolute floor must catch it
         assert misclustered([a + b]) != []
+        monkeypatch.setattr(mdg, "INTRA_FLOOR", -1.0)
+        assert misclustered([a + b]) == []
 
     def test_margin_suppresses_ties(self, two_entities):
         a, b = two_entities
@@ -155,3 +158,42 @@ class TestClusterWithGuardrail:
         llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
         cluster_with_guardrail(llm, a + b, max_retries=2)
         assert llm.ledger.n_calls <= 3
+
+
+class TestGuardedRetry:
+    def test_never_valid_answer_falls_back_to_singletons(self, two_entities):
+        a, b = two_entities
+        attempts = []
+
+        def drops_a_record(sets, attempt):
+            attempts.append(attempt)
+            return [[list(s[:-1])] for s in sets]
+
+        out = guarded_retry([a + b], drops_a_record, max_retries=2)
+        assert out == [[[r] for r in a + b]]
+        assert attempts == [0, 1, 2]
+
+    def test_no_mdg_repairs_a_broken_answer_once(self, two_entities):
+        a, b = two_entities
+        attempts = []
+
+        def duplicates_a_record(sets, attempt):
+            attempts.append(attempt)
+            return [[list(s), [s[0]]] for s in sets]
+
+        out = guarded_retry([a + b], duplicates_a_record, use_mdg=False)
+        assert out == [_repair(a + b, [a + b, [a[0]]])]
+        assert attempts == [0]
+
+    def test_only_rejected_sets_are_re_asked(self, two_entities):
+        a, b = two_entities
+        asked = []
+
+        def merges_everything(sets, attempt):
+            asked.append([len(s) for s in sets])
+            return [[list(s)] for s in sets]
+
+        out = guarded_retry([a, a + b], merges_everything)
+        assert asked == [[3, 6], [6]]  # the clean set is settled at once
+        assert out[0] == [a]
+

@@ -143,6 +143,26 @@ class TestPairConfusion:
         assert pc["tp"] == 6 and pc["fp"] == 9 and pc["fn"] == 0
 
 
+def _pair_confusion_reference(pred, truth):
+    """The O(n²) pair loop: every record pair classified directly."""
+    rids = sorted(pred)
+    tp = fp = fn = tn = 0
+    for i in range(len(rids)):
+        for k in range(i + 1, len(rids)):
+            a, b = rids[i], rids[k]
+            p_same = pred[a] == pred[b]
+            t_same = truth[a] == truth[b]
+            if p_same and t_same:
+                tp += 1
+            elif p_same:
+                fp += 1
+            elif t_same:
+                fn += 1
+            else:
+                tn += 1
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+
 class TestClustersToAssignment:
     def test_round_trip(self):
         clusters = [[1, 2], [3], [4, 5]]
@@ -189,3 +209,11 @@ class TestMetricProperties:
         assert m["acc"] == 1.0 and m["fp"] == 1.0
         assert math.isclose(m["nmi"], 1.0)
         assert math.isclose(m["ari"], 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelings())
+    def test_pair_confusion_matches_pair_loop(self, pt):
+        pred, truth = pt
+        assert pair_confusion(pred, truth) == _pair_confusion_reference(
+            pred, truth
+        )

@@ -1,57 +1,47 @@
-"""Exercise the provided scaffolding: synth_data generators + DuckDB oracle.
+"""Self-tests of the DuckDB correctness oracle on an ER assignment frame.
 
-These validate that the repository's stock correctness machinery works
-with Spark SQL aggregations of the kind the metric modules use.
+The frame has the shape the Spark metric modules consume
+(``record_id, pred, truth``), so these check that ``assert_equivalent``
+accepts a correct Spark aggregation of it and rejects a wrong one.
 """
+import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=0).cache()
-
-
-class TestSynthData:
-    def test_lineitem_columns(self, li):
-        assert {"l_orderkey", "l_quantity", "l_returnflag"} <= set(li.columns)
-
-    def test_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=2000, n_keys=100).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top > 2000 / 100 * 3  # far above uniform share
+def assign(spark):
+    """200 records over 12 entities; ~20% of predictions are wrong."""
+    rng = np.random.default_rng(0)
+    truth = rng.integers(0, 12, size=200)
+    pred = np.where(rng.random(200) < 0.8, truth, rng.integers(0, 12, size=200))
+    pdf = pd.DataFrame(
+        {"record_id": np.arange(200), "pred": pred, "truth": truth}
+    )
+    return spark.createDataFrame(pdf).cache()
 
 
 class TestOracle:
-    def test_groupby_aggregation(self, spark, li):
-        out = li.groupBy("l_returnflag").agg(
+    def test_groupby_aggregation(self, spark, assign):
+        out = assign.groupBy("pred").agg(
             F.count("*").alias("cnt"),
-            F.round(F.sum("l_quantity"), 2).alias("qty"),
+            F.countDistinct("truth").alias("n_truth"),
         )
         assert_equivalent(
             out,
-            "SELECT l_returnflag, COUNT(*) AS cnt, "
-            "ROUND(SUM(l_quantity), 2) AS qty "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT pred, COUNT(*) AS cnt, COUNT(DISTINCT truth) AS n_truth "
+            "FROM assign GROUP BY pred",
+            assign=assign,
         )
 
-    def test_catches_wrong_result(self, spark, li):
-        wrong = li.groupBy("l_returnflag").agg(
-            (F.count("*") + 1).alias("cnt")
-        )
+    def test_catches_wrong_result(self, spark, assign):
+        wrong = assign.groupBy("pred").agg((F.count("*") + 1).alias("cnt"))
         with pytest.raises(AssertionError):
             assert_equivalent(
                 wrong,
-                "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem "
-                "GROUP BY l_returnflag",
-                lineitem=li,
+                "SELECT pred, COUNT(*) AS cnt FROM assign GROUP BY pred",
+                assign=assign,
             )

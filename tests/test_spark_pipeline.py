@@ -64,6 +64,31 @@ class TestLshAssignBlocks:
         assert hit / max(1, pos) > 0.5
 
 
+    def test_blocks_equal_driver_components(self, spark_world):
+        """``block_id`` groups are the driver's LSH components (before
+        split and purify), each keyed by its minimum record id."""
+        from repro.blocking.lsh import (
+            band_signatures, blocks_from_edges, verified_edges,
+        )
+        from repro.core.records import build_records
+
+        sp, pdf, df, _ = spark_world
+        spark_blocks: dict[int, set[int]] = {}
+        for r in lsh_assign_blocks(df, seed=0).collect():
+            spark_blocks.setdefault(int(r["block_id"]), set()).add(
+                int(r["record_id"])
+            )
+        recs, _ = build_records(pdf, sp)
+        vecs = np.stack([r.vec for r in recs])
+        edges = verified_edges(vecs, band_signatures(vecs, seed=0), 0.35)
+        driver_blocks = {
+            min(r.rid for r in blk): {r.rid for r in blk}
+            for blk in blocks_from_edges(recs, edges)
+        }
+        assert spark_blocks == driver_blocks
+        assert any(len(b) > 1 for b in driver_blocks.values())
+
+
 class TestDistributedResolution:
     @pytest.fixture(scope="class")
     def result(self, spark_world):

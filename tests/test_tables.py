@@ -1,8 +1,37 @@
 """Smoke tests for the table builders (tiny scale; full runs live in
-benchmarks/)."""
+benchmarks/) and for the ``TABLES`` registry's entry points."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import tables
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestRegistry:
+    def test_csvs_and_entries_match_one_to_one(self):
+        stems = sorted(p.stem for p in (ROOT / "benchmarks/results").glob("*.csv"))
+        names = [t.name for t in tables.TABLES.values()]
+        assert sorted(names) == stems
+        assert list(tables.TABLES) == names
+
+    def test_run_table_job(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "jobs/run_table.py", "--table", "table1",
+             "--scale", "0.02"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "== Table 1: dataset statistics" in proc.stdout
+        assert "Walmart-Amazon" in proc.stdout
 
 
 class TestTable1:
