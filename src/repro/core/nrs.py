@@ -8,14 +8,56 @@ set variation, and sequential ordering of similar records.
 Only embeddings are used — no ground truth. k-means is a small local
 NumPy implementation (blocks hold at most a few hundred records, and
 sklearn is out of scope for the offline container).
+
+The elbow sweep seeds once: each k-means++ draw depends only on the
+centres drawn before it and Lloyd's iterations never touch the
+generator, so the seeding for ``k`` is the first ``k`` rows of the
+seeding for ``k_max``. Every fit of the sweep therefore equals
+``kmeans(vecs, k, seed)``, and NRS uses the chosen fit (labels and
+centroids) directly instead of fitting it again.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..embed.similarity import cosine_matrix
 from .factors import order_sequentially, set_variation
 from .records import Record
+
+#: one k-means fit: (labels, inertia, centres)
+_Fit = tuple[np.ndarray, float, np.ndarray]
+
+
+def _seed_centers(vecs: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++-style seeding → (k, dim) centres."""
+    n = vecs.shape[0]
+    g = np.random.default_rng(seed)
+    centers = [vecs[int(g.integers(0, n))]]
+    d2 = None  # squared distance to the nearest centre so far
+    for _ in range(k - 1):
+        dc = np.sum((vecs - centers[-1]) ** 2, axis=1)
+        d2 = dc if d2 is None else np.minimum(d2, dc)
+        tot = d2.sum()
+        probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
+        centers.append(vecs[int(g.choice(n, p=probs))])
+    return np.stack(centers)
+
+
+def _lloyd(vecs: np.ndarray, c: np.ndarray, iters: int = 20) -> _Fit:
+    """Lloyd's algorithm from centres ``c`` (updated in place)."""
+    k = c.shape[0]
+    labels = np.zeros(vecs.shape[0], dtype=int)
+    for it in range(iters):
+        d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d.argmin(axis=1)
+        if np.array_equal(new_labels, labels) and it > 0:
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                c[j] = vecs[mask].mean(axis=0)
+    inertia = float(((vecs - c[labels]) ** 2).sum())
+    return labels, inertia, c
 
 
 def kmeans(
@@ -25,46 +67,33 @@ def kmeans(
     n = vecs.shape[0]
     if k <= 0 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    g = np.random.default_rng(seed)
-    # k-means++ seeding
-    centers = [vecs[int(g.integers(0, n))]]
-    for _ in range(k - 1):
-        d2 = np.min(
-            [np.sum((vecs - c) ** 2, axis=1) for c in centers], axis=0
-        )
-        tot = d2.sum()
-        probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
-        centers.append(vecs[int(g.choice(n, p=probs))])
-    c = np.stack(centers)
-    labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
-        d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
-            break
-        labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                c[j] = vecs[mask].mean(axis=0)
-    inertia = float(((vecs - c[labels]) ** 2).sum())
+    labels, inertia, _ = _lloyd(vecs, _seed_centers(vecs, k, seed), iters)
     return labels, inertia
 
 
-def elbow_k(vecs: np.ndarray, k_max: int = 8, seed: int = 0) -> int:
-    """Elbow method: k with the sharpest inertia-curve bend."""
-    n = vecs.shape[0]
-    k_max = min(k_max, n)
-    if k_max <= 2:
-        return max(1, k_max)
-    inertias = [kmeans(vecs, k, seed)[1] for k in range(1, k_max + 1)]
+def _sweep(vecs: np.ndarray, k_max: int, seed: int) -> list[_Fit]:
+    """The fits for k = 1..k_max, all from one shared seeding."""
+    seeds = _seed_centers(vecs, k_max, seed)
+    return [_lloyd(vecs, seeds[:k].copy()) for k in range(1, k_max + 1)]
+
+
+def _elbow(inertias: list[float]) -> int:
+    """k with the sharpest bend of the inertia curve of k = 1, 2, ..."""
     # second difference of the inertia curve; +1 because ks start at 1
     best_k, best_bend = 2, -np.inf
-    for i in range(1, k_max - 1):
+    for i in range(1, len(inertias) - 1):
         bend = inertias[i - 1] - 2 * inertias[i] + inertias[i + 1]
         if bend > best_bend:
             best_bend, best_k = bend, i + 1
     return best_k
+
+
+def elbow_k(vecs: np.ndarray, k_max: int = 8, seed: int = 0) -> int:
+    """Elbow method: k with the sharpest inertia-curve bend."""
+    k_max = min(k_max, vecs.shape[0])
+    if k_max <= 2:
+        return max(1, k_max)
+    return _elbow([inertia for _, inertia, _ in _sweep(vecs, k_max, seed)])
 
 
 def next_record_set(
@@ -86,42 +115,43 @@ def next_record_set(
         return order_sequentially(remaining), []
 
     vecs = np.stack([r.vec for r in remaining])
-    k = elbow_k(vecs, k_max=min(8, len(remaining)), seed=seed)
-    labels, _ = kmeans(vecs, k, seed=seed)
+    # more than Ss >= 2 records remain, so the sweep spans k = 1..≥3
+    fits = _sweep(vecs, min(8, len(remaining)), seed)
+    k = _elbow([inertia for _, inertia, _ in fits])
+    labels, _, centers = fits[k - 1]
     target = max(1, s_s // s_d)
 
     chosen: list[Record] = []
-    chosen_labels: list[int] = []
     taken = np.zeros(len(remaining), dtype=bool)
-    centroids = {
-        j: vecs[labels == j].mean(axis=0) for j in range(k) if (labels == j).any()
-    }
-    for j in sorted(centroids):  # Lines 12–17
+    # a nonempty pseudo-cluster's Lloyd centre is its members' mean
+    for j in np.unique(labels):  # Lines 12–17
         idx = np.where((labels == j) & ~taken)[0]
         if len(chosen) >= s_s or len(idx) < target:
             continue
         room = s_s - len(chosen)
         # records closest to their pseudo-cluster centroid first
-        d = np.sum((vecs[idx] - centroids[j]) ** 2, axis=1)
+        d = np.sum((vecs[idx] - centers[j]) ** 2, axis=1)
         pick = idx[np.argsort(d)][: min(target, room)]
-        for i in pick:
-            chosen.append(remaining[i])
-            chosen_labels.append(j)
-            taken[i] = True
+        chosen.extend(remaining[i] for i in pick)
+        taken[pick] = True
 
-    # Lines 18–21: top up minimising the variation increase
+    # Lines 18–21: top up minimising the variation increase. Eq. 1
+    # depends only on the added record's pseudo-label, so the first
+    # open record of each label stands for all of its label.
+    counts = np.bincount(labels[taken], minlength=k)
     while len(chosen) < s_s and not taken.all():
         open_idx = np.where(~taken)[0]
+        _, first = np.unique(labels[open_idx], return_index=True)
         best_i, best_var = None, np.inf
-        for i in open_idx:
-            trial = chosen_labels + [int(labels[i])]
-            counts = np.bincount(np.asarray(trial))
-            v = set_variation(counts[counts > 0])
+        for i in np.sort(open_idx[first]):
+            trial = counts.copy()
+            trial[labels[i]] += 1
+            v = set_variation(trial[trial > 0])
             if v < best_var - 1e-12:
                 best_var, best_i = v, int(i)
         assert best_i is not None
         chosen.append(remaining[best_i])
-        chosen_labels.append(int(labels[best_i]))
+        counts[labels[best_i]] += 1
         taken[best_i] = True
 
     rset = order_sequentially(chosen)  # Line 22

@@ -8,9 +8,12 @@ cross-entity separation; the character features keep typo'd duplicates
 close — so LSH bucketing, MDG's similarity guardrail and CMR's cluster
 matching behave like they would on sentence embeddings.
 
-The embedder is deterministic (fixed FNV-1a hash), vectorised over
-batches, and exposed both as a NumPy function and a pandas UDF
-(`embed_udf`) for the distributed pipeline.
+The embedder is deterministic (fixed FNV-1a hash). ``embed_batch`` is
+its one kernel: it hashes each distinct word of a batch once, through
+a memo that lives only for that call, and turns each row's signed
+buckets into a vector with one ``np.bincount``. ``embed_text`` is a
+batch of one, and the pandas UDF (`embed_udf`) maps ``embed_batch``
+over each Arrow batch of the distributed pipeline.
 """
 from __future__ import annotations
 
@@ -21,47 +24,76 @@ from pyspark.sql.types import ArrayType, FloatType
 
 DEFAULT_DIM = 256
 _CHAR_NGRAM = 4
+_FNV_OFFSET = 0xCBF29CE484222325
 
 
-def _fnv1a(s: str) -> int:
-    """Deterministic 64-bit FNV-1a hash (stable across processes)."""
-    h = 0xCBF29CE484222325
+def _fnv1a(s: str, h: int = _FNV_OFFSET) -> int:
+    """Deterministic 64-bit FNV-1a hash (stable across processes).
+
+    ``h`` is the state after a prefix, so ``_fnv1a(b, _fnv1a(a))`` equals
+    ``_fnv1a(a + b)``.
+    """
     for ch in s:
         h ^= ord(ch)
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
-def _features(text: str) -> list[str]:
-    feats: list[str] = []
-    for raw in str(text).lower().split():
-        w = raw.strip(".,:;|()[]")
-        if not w:
+_WORD_PREFIX = _fnv1a("W:")
+_GRAM_PREFIX = _fnv1a("G:")
+
+
+def _words(text: str) -> list[str]:
+    """Lower-cased words with surrounding punctuation stripped."""
+    words = (raw.strip(".,:;|()[]") for raw in str(text).lower().split())
+    return [w for w in words if w]
+
+
+def _word_codes(w: str, dim: int) -> list[int]:
+    """Signed buckets of one word's features, as ``bucket * 2 + sign``.
+
+    The features are the unigram ``W:<w>`` and every ``G:`` character
+    4-gram of ``" <w> "``; sign 1 adds +1 to the bucket, sign 0 adds -1.
+    """
+    padded = f" {w} "
+    hashes = [_fnv1a(w, _WORD_PREFIX)] + [
+        _fnv1a(padded[i : i + _CHAR_NGRAM], _GRAM_PREFIX)
+        for i in range(len(padded) - _CHAR_NGRAM + 1)
+    ]
+    return [(h % dim) * 2 + ((h >> 32) & 1) for h in hashes]
+
+
+def embed_batch(texts: "list[str] | pd.Series", dim: int = DEFAULT_DIM) -> np.ndarray:
+    """Embed a batch of strings → (n, dim) float32 matrix of unit rows.
+
+    Each distinct word is hashed once per call: ``memo`` maps it to the
+    ``bucket * 2 + sign`` codes of its features. A row is then one
+    ``np.bincount`` with ±1 weights. Its counts are small integers in
+    float64, so they are exact in any summation order.
+    """
+    out = np.zeros((len(texts), dim), dtype=np.float32)
+    memo: dict[str, list[int]] = {}
+    for row, text in enumerate(texts):
+        codes: list[int] = []
+        for w in _words(text):
+            wc = memo.get(w)
+            if wc is None:
+                wc = memo[w] = _word_codes(w, dim)
+            codes.extend(wc)
+        if not codes:
             continue
-        feats.append("W:" + w)
-        padded = f" {w} "
-        for i in range(len(padded) - _CHAR_NGRAM + 1):
-            feats.append("G:" + padded[i : i + _CHAR_NGRAM])
-    return feats
+        c = np.asarray(codes)
+        v = np.bincount(c >> 1, weights=(c & 1) * 2.0 - 1.0, minlength=dim)
+        n = np.linalg.norm(v)
+        if n > 0:
+            v /= n
+        out[row] = v
+    return out
 
 
 def embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Embed one string into a unit-norm float32 vector."""
-    v = np.zeros(dim, dtype=np.float64)
-    for f in _features(text):
-        h = _fnv1a(f)
-        v[h % dim] += 1.0 if (h >> 32) & 1 else -1.0
-    n = np.linalg.norm(v)
-    if n > 0:
-        v /= n
-    return v.astype(np.float32)
-
-
-def embed_batch(texts: "list[str] | pd.Series", dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Embed a batch of strings → (n, dim) float32 matrix."""
-    return np.stack([embed_text(str(t), dim) for t in texts]) if len(texts) else (
-        np.zeros((0, dim), dtype=np.float32)
-    )
+    return embed_batch([text], dim)[0]
 
 
 def embed_udf(dim: int = DEFAULT_DIM):
@@ -69,7 +101,7 @@ def embed_udf(dim: int = DEFAULT_DIM):
 
     @F.pandas_udf(ArrayType(FloatType()))
     def _embed(texts: pd.Series) -> pd.Series:
-        return pd.Series([embed_text(str(t), dim).tolist() for t in texts])
+        return pd.Series(embed_batch(texts, dim).tolist())
 
     return _embed
 

@@ -1,5 +1,6 @@
 """Every resolver returns a partition of its block however badly the
-simulated LLM behaves."""
+simulated LLM behaves: hallucinating on every call, or answering that
+all records are one entity."""
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from repro.baselines.booster import booster_er_block
 from repro.baselines.bq import bq_er_block
 from repro.baselines.crowder import crowder_er_block
 from repro.baselines.pairwise import pairwise_er_block
+from repro.baselines.plm import PLMModel, plm_er_block
 from repro.blocking.lsh import lsh_blocks
 from repro.core import mdg
 from repro.core.pipeline import resolve_block
@@ -29,6 +31,32 @@ def block(cora_small):
 
 def _llm(truth):
     return SimulatedLLM(truth, ALWAYS_HALLUCINATES, seed=0)
+
+
+class AlwaysMerges(SimulatedLLM):
+    """Bills every call as usual but answers "all one entity"."""
+
+    def cluster_records(self, records, **kw):
+        super().cluster_records(records, **kw)
+        return [list(records)] if records else []
+
+    def cluster_batch(self, sets, **kw):
+        super().cluster_batch(sets, **kw)
+        return [[list(s)] if s else [] for s in sets]
+
+    def match_pair(self, a, b, **kw):
+        super().match_pair(a, b, **kw)
+        return True
+
+    def match_pairs_batched(self, pairs, **kw):
+        super().match_pairs_batched(pairs, **kw)
+        return [True] * len(pairs)
+
+
+#: a PLM whose every pair scores far above its decision threshold
+MATCHES_EVERYTHING = PLMModel(
+    "match-all", offsets=(-10.0, -10.0, -10.0), sigmas=(0.0, 0.0, 0.0)
+)
 
 
 def _assert_partition(clusters, records):
@@ -67,3 +95,31 @@ def test_guarded_outputs_are_partitions(block, use_mdg):
     batched = mdg.cluster_batched(_llm(truth), sets, 4, use_mdg=use_mdg)
     for rset, out in zip(sets, batched):
         _assert_partition(out, rset)
+
+
+@pytest.mark.parametrize("use_mdg", [True, False])
+@pytest.mark.parametrize("batch_size", [0, 4])
+def test_always_merge_resolve_block(block, use_mdg, batch_size):
+    blk, truth = block
+    llm = AlwaysMerges(truth, GPT_4O_MINI, seed=0)
+    res = resolve_block(blk, llm, use_mdg=use_mdg, batch_size=batch_size)
+    assert sorted(res.assignment) == sorted(r.rid for r in blk)
+    assert llm.ledger.snapshot()["n_calls"] > 0
+
+
+@pytest.mark.parametrize(
+    "resolver",
+    [pairwise_er_block, bq_er_block, booster_er_block, crowder_er_block],
+)
+def test_always_merge_baselines(block, resolver):
+    blk, truth = block
+    llm = AlwaysMerges(truth, GPT_4O_MINI, seed=0)
+    assert sorted(resolver(blk, llm)) == sorted(r.rid for r in blk)
+
+
+@pytest.mark.parametrize("ft_frac", [0.0, 0.2, 0.8])
+def test_match_everything_plm(block, ft_frac):
+    blk, _ = block
+    out = plm_er_block(blk, MATCHES_EVERYTHING, ft_frac, seed=0)
+    assert sorted(out) == sorted(r.rid for r in blk)
+    assert len(set(out.values())) == 1  # every pair matched: one entity

@@ -1,11 +1,106 @@
 """Unit tests for the hashing embedder and similarity kernels."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.embed.hashing import (
     DEFAULT_DIM, embed_batch, embed_text, tokens,
 )
 from repro.embed.similarity import cosine, cosine_matrix, jaccard
+
+
+def _fnv1a_reference(s):
+    h = 0xCBF29CE484222325
+    for ch in s:
+        h ^= ord(ch)
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def _features_reference(text):
+    feats = []
+    for raw in str(text).lower().split():
+        w = raw.strip(".,:;|()[]")
+        if not w:
+            continue
+        feats.append("W:" + w)
+        padded = f" {w} "
+        for i in range(len(padded) - 4 + 1):
+            feats.append("G:" + padded[i : i + 4])
+    return feats
+
+
+def _embed_text_reference(text, dim=DEFAULT_DIM):
+    """The per-text, per-feature loop the batch kernel must reproduce."""
+    v = np.zeros(dim, dtype=np.float64)
+    for f in _features_reference(text):
+        h = _fnv1a_reference(f)
+        v[h % dim] += 1.0 if (h >> 32) & 1 else -1.0
+    n = np.linalg.norm(v)
+    if n > 0:
+        v /= n
+    return v.astype(np.float32)
+
+
+_ODD_TEXTS = [
+    "", "   \t\n ", ".,:;|()[]", "(.) [;] |", "ab", "x",
+    "naïve café Ünïcödé 東京 ß", "word word word word", "a. a, a; (a)",
+    "MiXeD CaSe mixed case", "t1: sony | n1: 12.5",
+]
+_texts = st.lists(
+    st.one_of(
+        st.sampled_from(_ODD_TEXTS),
+        st.text(max_size=40),
+        st.lists(
+            st.sampled_from(["sony", "camera", "dsc-w80", "7.2mp", "é", "."]),
+            max_size=12,
+        ).map(" ".join),
+    ),
+    max_size=12,
+)
+
+
+class TestBatchIdentity:
+    """``embed_batch`` is bit-for-bit the per-text reference loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_texts, st.sampled_from([DEFAULT_DIM, 32, 7]))
+    @example(_ODD_TEXTS, DEFAULT_DIM)
+    @example(["same words", "same words", "same"], DEFAULT_DIM)
+    def test_batch_equals_reference(self, texts, dim):
+        got = embed_batch(texts, dim)
+        want = (
+            np.stack([_embed_text_reference(t, dim) for t in texts])
+            if texts
+            else np.zeros((0, dim), dtype=np.float32)
+        )
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", _ODD_TEXTS)
+    def test_text_is_batch_of_one(self, text):
+        assert embed_text(text).tobytes() == embed_batch([text])[0].tobytes()
+        assert embed_text(text).tobytes() == _embed_text_reference(text).tobytes()
+
+    def test_records_df_equals_build_records(self, spark):
+        """The Spark UDF path and the driver path give the same bits."""
+        from repro.core.records import build_records
+        from repro.core.spark_pipeline import records_df
+        from repro.datasets.generator import generate
+        from repro.datasets.registry import spec as get_spec
+
+        sp = get_spec("cora", 0.08)
+        pdf = generate(sp)
+        recs, _ = build_records(pdf, sp)
+        rows = records_df(spark, pdf, sp).select("record_id", "vec").collect()
+        spark_vecs = {
+            int(r["record_id"]): np.array(r["vec"], dtype=np.float32)
+            for r in rows
+        }
+        assert sorted(spark_vecs) == sorted(r.rid for r in recs)
+        for r in recs:
+            assert spark_vecs[r.rid].tobytes() == r.vec.tobytes(), r.rid
 
 
 class TestEmbedText:
