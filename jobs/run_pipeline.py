@@ -1,13 +1,16 @@
 """spark-submit entrypoint for the distributed LLM-CER pipeline.
 
 Runs the full Spark dataflow on one dataset: records DF → embedding
-pandas UDF → LSH bucket shuffle → per-block Algorithm 4 via
-``applyInPandas`` → Spark-SQL metric aggregation, and prints quality +
-ledger totals.
+pandas UDF → LSH bucket shuffle, verified on the executors → per-block
+Algorithm 4, blocks packed per core → Spark-SQL metric aggregation, and
+prints quality + ledger totals next to the run's compute wall seconds
+(dataset generation through the metrics, Spark session start-up
+excluded).
 
 Usage: ``spark-submit jobs/run_pipeline.py --dataset cora --scale 1.0``
 """
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -30,6 +33,7 @@ def main() -> None:
     from repro.llm.profiles import GPT_4O_MINI
 
     spark = spark_session()
+    t0 = time.perf_counter()
     sp = get_spec(args.dataset, args.scale)
     pdf = generate(sp)
     df = records_df(spark, pdf, sp)
@@ -45,6 +49,7 @@ def main() -> None:
     rows = [(int(r), int(p), int(truth[r])) for r, p in assign.items()]
     adf = spark.createDataFrame(rows, ["record_id", "pred", "truth"])
     fp_spark = fp_measure_spark(adf)
+    compute_s = time.perf_counter() - t0
 
     profile = GPT_4O_MINI
     cost = (
@@ -60,7 +65,9 @@ def main() -> None:
     print(
         f"  ledger: calls={led['n_calls']} tokens={led['in_tokens'] + led['out_tokens']}"
         f" cost_usd={cost:.3f} sim_time_min={led['sim_time_s'] / 60:.1f}"
+        f" compute_s={compute_s:.1f}"
     )
+    result.unpersist()
     spark.stop()
 
 

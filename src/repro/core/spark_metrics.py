@@ -4,7 +4,9 @@ Given a DataFrame with columns ``record_id``, ``pred``, ``truth``,
 purity / inverse-purity / FP-measure and the pair-confusion counts
 (TP/FP/FN/TN) are computed with groupBy aggregations — no per-pair
 materialisation: the pair counts come from cluster-size combinatorics
-(Σ C(n,2) over pred, truth, and pred×truth groups).
+(Σ C(n,2) over pred, truth, and pred×truth groups). Purity, inverse
+purity and the FP-measure share one contingency table and one Spark
+action, so the input is read once.
 
 The unit tests cross-check these against both the pure-Python
 implementations in :mod:`repro.core.metrics` and DuckDB SQL via
@@ -27,33 +29,45 @@ def contingency_df(assign: DataFrame) -> DataFrame:
     )
 
 
+def _purities(assign: DataFrame) -> tuple[float, float]:
+    """(purity, inverse purity) from one contingency table.
+
+    One Spark action: grouping sets over the table give each predicted
+    and each true cluster its largest cell in one aggregation, and the
+    cell counts summed per side give |R|.
+    """
+    per_cluster = (
+        contingency_df(assign)
+        .groupingSets([["pred"], ["truth"]], "pred", "truth")
+        .agg(
+            F.grouping("pred").alias("by_truth"),
+            F.max("cnt").alias("best"),
+            F.sum("cnt").alias("n"),
+        )
+    )
+    rows = {
+        r["by_truth"]: r
+        for r in per_cluster.groupBy("by_truth")
+        .agg(F.sum("best").alias("hits"), F.sum("n").alias("n"))
+        .collect()
+    }
+    n = rows[0]["n"]
+    return rows[0]["hits"] / n, rows[1]["hits"] / n
+
+
 def purity_spark(assign: DataFrame) -> float:
     """Eq. 4: Σ max-truth-overlap over predicted clusters / |R|."""
-    n = assign.count()
-    per_pred = (
-        contingency_df(assign)
-        .groupBy("pred")
-        .agg(F.max("cnt").alias("best"))
-        .agg(F.sum("best").alias("s"))
-        .collect()[0]["s"]
-    )
-    return float(per_pred) / n
+    return _purities(assign)[0]
 
 
 def inverse_purity_spark(assign: DataFrame) -> float:
     """Eq. 5: the same with pred/truth swapped."""
-    return purity_spark(
-        assign.select(
-            "record_id",
-            F.col("truth").alias("pred"),
-            F.col("pred").alias("truth"),
-        )
-    )
+    return _purities(assign)[1]
 
 
 def fp_measure_spark(assign: DataFrame) -> float:
     """Eq. 7: harmonic mean of the two purities."""
-    p, ip = purity_spark(assign), inverse_purity_spark(assign)
+    p, ip = _purities(assign)
     if p == 0 or ip == 0:
         return 0.0
     return 2.0 / (1.0 / p + 1.0 / ip)

@@ -1,22 +1,30 @@
 """Distributed LLM-CER over Spark DataFrames.
 
 Dataflow (DESIGN.md §Layering): the generated dataset becomes a Spark
-DataFrame; records are serialized and embedded with a pandas UDF; LSH
-band signatures are computed in Spark and shuffled (``groupBy``) into
-buckets; bucket co-membership edges are folded into connected
-components (blocks); and each block is resolved *independently* inside
-``applyInPandas`` running the exact same per-block Algorithm 4 as the
-driver path (purification and oversize splitting included). Per-block
-ledgers come back as columns and are aggregated with Spark SQL.
+DataFrame; records are serialized and stripped of attribute labels in
+pandas and embedded with one pandas UDF; LSH band signatures are
+computed next to the embedding and exploded to one row per (band,
+record); each band's buckets are verified against the cosine threshold
+on the executors, one pandas call per band, and only the verified
+record-id edges come back to the driver for union-find. Each block is
+then resolved *independently* with the exact same per-block Algorithm
+4 as the driver path (purification and oversize splitting included);
+blocks are packed into one partition per core, ``pmod(hash(block_id),
+defaultParallelism)``, and one pandas call loops over a partition's
+blocks, so a run starts a few Python tasks that each do a lot of work.
+Per-block ledgers come back as columns.
 
 The two paths are *not* identical. The LSH components are (the tests
 assert that ``block_id`` groups equal the driver's components), but
 every sub-block here is resolved with ``seed`` where the driver path
 uses ``seed + block_index``, and ``resolve_block`` depends on the order
-rows reach it. The integration test only asserts comparable quality
+rows reach it: the order in which the join that attaches ``block_id``
+emits them. The integration test only asserts comparable quality
 (|ΔFP| < 0.15) against the driver path.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -26,7 +34,6 @@ from pyspark.sql.types import (
     DoubleType, LongType, StringType, StructField, StructType,
 )
 
-from ..blocking.lsh import bucket_edges
 from ..datasets.schema import DatasetSpec
 from ..embed.hashing import DEFAULT_DIM, embed_udf
 from ..embed.hashing import tokens as _tokens
@@ -39,12 +46,19 @@ from .unionfind import UnionFind
 def records_df(
     spark: SparkSession, pdf: pd.DataFrame, spec: DatasetSpec
 ) -> DataFrame:
-    """Dataset frame → Spark DF with serialized text and embeddings."""
+    """Dataset frame → Spark DF with serialized text and embeddings.
+
+    Attribute labels are stripped here in pandas, as ``build_records``
+    does, so the plan's only Python evaluator is the embedding pandas UDF.
+    """
+    texts = serialize_frame(pdf, spec)
     base = pdf[["record_id", "entity_id"]].copy()
-    base["text"] = serialize_frame(pdf, spec)
-    df = spark.createDataFrame(base)
-    emb_text = F.udf(strip_attr_labels, StringType())(F.col("text"))
-    return df.withColumn("vec", embed_udf(DEFAULT_DIM)(emb_text))
+    base["text"] = texts
+    base["emb_text"] = [strip_attr_labels(t) for t in texts]
+    return spark.createDataFrame(base).select(
+        "record_id", "entity_id", "text",
+        embed_udf(DEFAULT_DIM)(F.col("emb_text")).alias("vec"),
+    )
 
 
 def lsh_assign_blocks(
@@ -58,13 +72,14 @@ def lsh_assign_blocks(
     """Add a ``block_id`` column via distributed LSH bucketing.
 
     Band signatures are computed per Arrow batch with
-    :func:`repro.blocking.lsh.band_signatures`; the (band, signature)
-    → records shuffle happens in Spark. Candidate pairs within a bucket
-    are verified against the cosine threshold ``b_t`` (the same
+    :func:`repro.blocking.lsh.band_signatures`, next to the embedding,
+    and exploded to one (band, signature, record) row per band. Each
+    band's buckets are verified on the executors, one pandas call per
+    band, against the cosine threshold ``b_t`` (the same
     :func:`~repro.blocking.lsh.bucket_edges` rule as
-    :func:`~repro.blocking.lsh.lsh_blocks`) and the union-find over
-    verified edges runs on the driver — the edge list is tiny relative
-    to the data. ``block_id`` is each component's minimum record id.
+    :func:`~repro.blocking.lsh.lsh_blocks`); only the verified
+    record-id edges reach the driver, where a union-find folds them into
+    components. ``block_id`` is each component's minimum record id.
     Unlike ``lsh_blocks``, components are neither split nor purified
     here; :func:`resolve_blocks_distributed` does that per block.
     """
@@ -81,28 +96,41 @@ def lsh_assign_blocks(
         sigs = band_signatures(np.stack(vecs.to_list()), n_bands, band_bits, seed)
         return pd.Series([",".join(map(str, row)) for row in sigs])
 
-    # bucket shuffle: records sharing (band, sig) land in one group
-    buckets = (
-        df.withColumn("sigs", _sigs(F.col("vec")))
-        .select("record_id", F.posexplode(F.split("sigs", ",")))
-        .groupBy(F.col("pos").alias("band"), F.col("col").alias("sig"))
-        .agg(F.collect_list("record_id").alias("rids"))
+    def _verify(band: pd.DataFrame) -> pd.DataFrame:
+        from ..blocking.lsh import bucket_edges
+
+        # members in record-id order, so a bucket's similarity matrix
+        # does not depend on the order the shuffle delivered its rows
+        band = band.sort_values("record_id", kind="stable")
+        vecs = np.stack(band["vec"].to_list()).astype(np.float64)
+        rids = band["record_id"].to_numpy()
+        pos = np.array(
+            [
+                edge
+                for members in band.groupby("sig", sort=False).indices.values()
+                for edge in bucket_edges(vecs, members.tolist(), threshold)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        return pd.DataFrame({"a": rids[pos[:, 0]], "b": rids[pos[:, 1]]})
+
+    edges = (
+        df.select(
+            "record_id", "vec",
+            F.posexplode(F.split(_sigs(F.col("vec")), ",")).alias("band", "sig"),
+        )
+        .groupBy("band")
+        .applyInPandas(_verify, schema="a long, b long")
+        .collect()
     )
-    vec_of = {
-        int(r["record_id"]): np.asarray(r["vec"], dtype=np.float64)
-        for r in df.select("record_id", "vec").collect()
-    }
-    # positions ascend with record id, so every root is its component's
-    # minimum record id
-    ids = sorted(vec_of)
+    # the embedding UDF is pruned from this plan; positions ascend with
+    # record id, so every root is its component's minimum record id
+    ids = sorted(int(r["record_id"]) for r in df.select("record_id").collect())
     at = {rid: i for i, rid in enumerate(ids)}
-    vecs = np.stack([vec_of[rid] for rid in ids])
     uf = UnionFind(len(ids))
-    for row in buckets.select("rids").collect():
-        members = [at[int(x)] for x in row["rids"]]
-        for a, b in bucket_edges(vecs, members, threshold):
-            uf.union(a, b)
-    mapping = [(rid, ids[uf.find(at[rid])]) for rid in vec_of]
+    for e in edges:
+        uf.union(at[e["a"]], at[e["b"]])
+    mapping = [(rid, ids[uf.find(i)]) for i, rid in enumerate(ids)]
     block_map = df.sparkSession.createDataFrame(mapping, ["record_id", "block_id"])
     return df.join(block_map, on="record_id", how="inner")
 
@@ -132,7 +160,17 @@ def resolve_blocks_distributed(
     max_block_size: int = 200,
     seed: int = 0,
 ) -> DataFrame:
-    """applyInPandas per-block Algorithm 4 → assignments + ledgers.
+    """Per-block Algorithm 4, blocks packed per core → assignments + ledgers.
+
+    Blocks are independent, so they are packed into one partition per
+    core (``repartition`` on ``block_id``: the partition is
+    ``pmod(hash(block_id), defaultParallelism)``) and one pandas call
+    resolves a partition's blocks one after another, each with its own
+    ``SimulatedLLM`` seeded with ``seed``. A Python task has a fixed
+    cost, so a few large tasks beat one per block. ``resolve_block``
+    depends on the order of a block's rows; they reach Python in the
+    order the join in :func:`lsh_assign_blocks` emitted them, and
+    ``groupby(sort=False)`` keeps it.
 
     Output columns: record_id, block_id, ``label`` (globally unique
     string ``block/sub/local``), per-block ledger totals (repeated on
@@ -141,11 +179,10 @@ def resolve_blocks_distributed(
     """
     profile_name = profile.name
 
-    def _resolve(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
+    def _resolve(block_id: int, pdf: pd.DataFrame) -> pd.DataFrame:
         from ..blocking.lsh import purify_block, split_oversized
         from .pipeline import resolve_block
 
-        block_id = int(key[0])
         recs = [
             Record(
                 rid=int(row.record_id),
@@ -188,38 +225,54 @@ def resolve_blocks_distributed(
             }
         )
 
-    return blocked.groupBy("block_id").applyInPandas(
-        _resolve, schema=_RESULT_SCHEMA
+    def _resolve_packed(batches):
+        frames = list(batches)
+        if not frames:
+            return
+        pdf = pd.concat(frames, ignore_index=True)
+        yield pd.concat(
+            [
+                _resolve(int(block_id), block)
+                for block_id, block in pdf.groupby("block_id", sort=False)
+            ],
+            ignore_index=True,
+        )
+
+    cores = blocked.sparkSession.sparkContext.defaultParallelism
+    return blocked.repartition(cores, "block_id").mapInPandas(
+        _resolve_packed, schema=_RESULT_SCHEMA
     )
 
 
 def ledger_totals(result: DataFrame) -> dict[str, float]:
-    """Aggregate the per-block ledger columns (one value per block)."""
-    per_block = result.groupBy("block_id").agg(
-        F.first("n_calls").alias("n_calls"),
-        F.first("in_tokens").alias("in_tokens"),
-        F.first("out_tokens").alias("out_tokens"),
-        F.first("sim_time_s").alias("sim_time_s"),
-    )
-    row = per_block.agg(
-        F.sum("n_calls").alias("n_calls"),
-        F.sum("in_tokens").alias("in_tokens"),
-        F.sum("out_tokens").alias("out_tokens"),
-        F.sum("sim_time_s").alias("sim_time_s"),
-    ).collect()[0]
+    """Sum the per-block ledger columns, counting each block once.
+
+    One scan of ``result`` and no shuffle. ``math.fsum`` makes the
+    simulated seconds independent of the order Spark returns rows in.
+    """
+    per_block = {
+        r["block_id"]: r
+        for r in result.select(
+            "block_id", "n_calls", "in_tokens", "out_tokens", "sim_time_s"
+        ).collect()
+    }.values()
     return {
-        "n_calls": int(row["n_calls"] or 0),
-        "in_tokens": int(row["in_tokens"] or 0),
-        "out_tokens": int(row["out_tokens"] or 0),
-        "sim_time_s": float(row["sim_time_s"] or 0.0),
+        "n_calls": sum(r["n_calls"] for r in per_block),
+        "in_tokens": sum(r["in_tokens"] for r in per_block),
+        "out_tokens": sum(r["out_tokens"] for r in per_block),
+        "sim_time_s": math.fsum(r["sim_time_s"] for r in per_block),
     }
 
 
 def assignment_from_result(result: DataFrame) -> dict[int, int]:
-    """Collect the distributed labels into a rid → dense-int map."""
-    rows = result.select("record_id", "label").collect()
+    """Collect the distributed labels into a rid → dense-int map.
+
+    Labels are numbered in ascending record-id order, and the dict is
+    in that order, so the map does not depend on the Spark plan.
+    """
+    rows = sorted(
+        (int(r["record_id"]), r["label"])
+        for r in result.select("record_id", "label").collect()
+    )
     remap: dict[str, int] = {}
-    return {
-        int(r["record_id"]): remap.setdefault(r["label"], len(remap))
-        for r in rows
-    }
+    return {rid: remap.setdefault(label, len(remap)) for rid, label in rows}

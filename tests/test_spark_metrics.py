@@ -46,6 +46,25 @@ class TestAgainstPython:
         assert pair_confusion_spark(df) == pair_confusion(pred, truth)
 
 
+class TestOneScan:
+    def test_fp_measure_reads_input_once(self, spark, assign_df):
+        """One contingency table feeds n and both purities: every input
+        row is read once, not once per count and per grouping."""
+        from pyspark.sql import functions as F
+
+        df, pred, truth = assign_df
+        seen = spark.sparkContext.accumulator(0)
+
+        @F.udf("long")
+        def tap(x):
+            seen.add(1)
+            return x
+
+        tapped = df.withColumn("pred", tap("pred"))
+        assert fp_measure_spark(tapped) == pytest.approx(fp_measure(pred, truth))
+        assert seen.value == len(pred)
+
+
 class TestAgainstDuckDB:
     def test_contingency_oracle(self, assign_df):
         df, _, _ = assign_df
